@@ -36,17 +36,18 @@ pub enum DpStopping {
     /// to `top_k` over [`crate::Recommender::score_into`].
     Fixed,
     /// Stop early when further iterations provably cannot matter: at an
-    /// exact value fixed point (`δ_t = 0`, bit-identical to the full run),
+    /// exact fixed point of the item values' two-step map (`δ2_t =
+    /// ‖v_t − v_{t−2}‖∞ = 0` over the items, bit-identical to the full run),
     /// or when the rank-stability probe certifies the query's top-k list
     /// frozen (no candidate can cross its remaining-change bound) — the
-    /// probe also arbitrates the `δ_t ≤ epsilon · scale` value-convergence
+    /// probe also arbitrates the `δ2_t ≤ epsilon · scale` value-convergence
     /// rule, since converged *values* alone don't pin near-tied *orders*.
     /// Rankings are identical to [`DpStopping::Fixed`]; the reported
     /// scores sit within the remaining-change bound above the fixed-τ
     /// scores.
     Adaptive {
-        /// Relative convergence threshold for the `δ_t ≤ ε · scale` rule
-        /// (`scale` = largest value so far, floored at 1). Negative
+        /// Relative convergence threshold for the `δ2_t ≤ ε · scale` rule
+        /// (`scale` = largest item value so far, floored at 1). Negative
         /// restricts the convergence rule to exact fixed points.
         epsilon: f64,
     },

@@ -7,7 +7,9 @@
 //! write through caller-owned buffers (the [`crate::ScoringContext`]), so a
 //! steady-state scoring loop performs no `O(n_nodes)` allocations.
 //!
-//! [`run_truncated_walk`] is the one place the DP is launched. In
+//! [`run_truncated_walk`] is the one place the DP is launched, always as the
+//! parity chain over the subgraph's item side (bit-identical item values at
+//! half the edge work of a full sweep). In
 //! [`WalkMode::Reference`] (the `score_into` contract) it always runs the
 //! full fixed-τ program, keeping scored values bit-for-bit reproducible. In
 //! [`WalkMode::Serving`] (the fused top-k path) the request's
@@ -22,7 +24,7 @@ use crate::config::DpStopping;
 use crate::topk::{outranks, ScoredItem, TopKCollector};
 use longtail_graph::{GraphView, SubgraphScratch};
 use longtail_markov::{
-    truncated_costs_converge_into, truncated_costs_into, CostModel, DpBuffers, DpProbe, DpRun,
+    parity_chain_costs_into, CostModel, DpBuffers, DpProbe, DpRun, EarlyExit, ParitySides,
     SliceCost, UnitCost,
 };
 
@@ -102,9 +104,6 @@ pub(crate) enum ProbeVerdict {
 /// so the margin leans generous.
 const PROBE_EXTRAPOLATION_MARGIN: f64 = 4.0;
 
-/// The rank-stability callback handed to the DP, in option form.
-type RankProbe<'a> = Option<&'a mut dyn FnMut(&DpProbe<'_>) -> bool>;
-
 /// Fill `seeds` with the query user's absorbing set `S_q`: the flat
 /// item-node ids of everything the user rated. Empty if the user rated
 /// nothing.
@@ -141,13 +140,19 @@ pub(crate) fn grow_absorbing_subgraph<G: GraphView>(
 
 /// Launch the truncated DP over the context's prepared subgraph, absorbing
 /// flags and (for [`WalkCostModel::EntryCosts`]) entry-cost buffer, leaving
-/// the values in the context's [`DpBuffers`] and folding the run into the
-/// context's [`crate::DpTelemetry`]. `stopping` and `deadline` are the
+/// the item values in the context's [`DpBuffers`] and folding the run into
+/// the context's [`crate::DpTelemetry`]. `stopping` and `deadline` are the
 /// request's serving policy; they only apply in [`WalkMode::Serving`]
 /// ([`WalkMode::Reference`] always runs the exact fixed-τ program).
 ///
+/// Every mode runs the same program, the parity chain of
+/// [`parity_chain_costs_into`]: the subgraph is bipartite and only item
+/// values are ever read, so only the half of the walk that lands on the
+/// items at τ is swept, and each item value is bit-for-bit the full
+/// sweep's. The modes differ only in the [`EarlyExit`] rules they arm.
+///
 /// A `deadline` arms cooperative cancellation: the DP consults the clock on
-/// its measured iterations (the stride-scheduled δ pass — the hot sweep
+/// its measured iterations (the stride-scheduled δ2 pass — the hot sweep
 /// stays branch-free) and aborts once the instant has passed, recording a
 /// `deadline_expired` run in the context's telemetry. The values left in
 /// the buffers then rank nothing; callers must check the telemetry before
@@ -180,116 +185,110 @@ pub(crate) fn run_truncated_walk<G: GraphView>(
         WalkCostModel::Unit => &UnitCost,
         WalkCostModel::EntryCosts => &slice_cost,
     };
-    // The deadline check the DP consults on measured iterations. Reference
-    // scoring never cancels (its contract is the exact fixed-τ program).
-    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
-    let cancel: Option<&dyn Fn() -> bool> = if matches!(mode, WalkMode::Serving { .. }) {
-        deadline.is_some().then_some(&expired as &dyn Fn() -> bool)
-    } else {
-        None
+    // Reference scoring has no probe target: it never stops early or
+    // cancels, since its contract is the exact fixed-τ program.
+    let target = match mode {
+        WalkMode::Reference => None,
+        WalkMode::Serving {
+            k,
+            rated,
+            extra,
+            rated_absorbing,
+        } => Some(ProbeTarget {
+            graph,
+            scratch: &*subgraph,
+            rated,
+            extra,
+            absorbing: absorbing.as_slice(),
+            rated_absorbing,
+            k,
+            per_node,
+        }),
     };
-    let run = match (mode, stopping) {
-        (WalkMode::Reference, _) => {
-            truncated_costs_into(subgraph.kernel(), absorbing, cost, iterations, walk);
-            DpRun::fixed(iterations)
-        }
-        (WalkMode::Serving { .. }, DpStopping::Fixed) => {
-            if cancel.is_none() {
-                truncated_costs_into(subgraph.kernel(), absorbing, cost, iterations, walk);
-                DpRun::fixed(iterations)
-            } else {
-                // A deadline-carrying Fixed request runs the adaptive form
-                // with the convergence rule restricted to exact fixed
-                // points (ε < 0) and no probe: the sweeps — and hence the
-                // values — are identical to the fixed program, the only
-                // extra exits being the bit-identical δ = 0 stop and the
-                // deadline itself.
-                truncated_costs_converge_into(
-                    subgraph.kernel(),
-                    absorbing,
-                    cost,
-                    iterations,
-                    -1.0,
-                    None,
-                    cancel,
-                    walk,
-                )
-            }
-        }
-        (
-            WalkMode::Serving {
-                k,
-                rated,
-                extra,
-                rated_absorbing,
-            },
-            DpStopping::Adaptive { epsilon },
-        ) => {
-            let target = ProbeTarget {
-                graph,
-                scratch: &*subgraph,
-                rated,
-                extra,
-                absorbing: absorbing.as_slice(),
-                rated_absorbing,
-                k,
-                per_node,
-            };
-            // Extrapolation state: the last full scan's blocking pair and
-            // the δ/remaining it was observed under. A rescan only runs
-            // once the bound, scaled by the δ decay since then, comes
-            // within PROBE_EXTRAPOLATION_MARGIN of the gap — skipping is
-            // always sound (it can only delay a stop, never corrupt one).
-            let mut blocked: Option<(f64, f64, f64, usize)> = None;
-            let mut probe = |p: &DpProbe<'_>| {
-                if let Some((gap, bound, delta_then, remaining_then)) = blocked {
-                    // A rescan is only worth its cost once the state has
-                    // actually moved: δ must have decayed meaningfully
-                    // since the last full scan, and for a gap-blocked pair
-                    // the extrapolated bound must have come within the
-                    // margin of the gap. (Skipping can only delay a stop,
-                    // never corrupt one.)
-                    if p.delta > delta_then * 0.7 {
+    let mut probe = target.map(|target| {
+        // Extrapolation state: the last full scan's blocking pair and the
+        // δ2/remaining it was observed under. A rescan only runs once the
+        // bound, scaled by the δ2 decay since then, comes within
+        // PROBE_EXTRAPOLATION_MARGIN of the gap.
+        let mut blocked: Option<(f64, f64, f64, usize)> = None;
+        move |p: &DpProbe<'_>| {
+            if let Some((gap, bound, delta_then, remaining_then)) = blocked {
+                // A rescan is only worth its cost once the state has
+                // actually moved: δ2 must have decayed meaningfully since
+                // the last full scan, and for a gap-blocked pair the
+                // extrapolated bound must have come within the margin of
+                // the gap. (Skipping can only delay a stop, never corrupt
+                // one.)
+                if p.delta > delta_then * 0.7 {
+                    return false;
+                }
+                if gap > 0.0 && remaining_then > 0 {
+                    let shrink =
+                        (p.delta / delta_then) * (p.remaining as f64 / remaining_then as f64);
+                    if bound * shrink > gap * PROBE_EXTRAPOLATION_MARGIN {
                         return false;
                     }
-                    if gap > 0.0 && remaining_then > 0 {
-                        let shrink =
-                            (p.delta / delta_then) * (p.remaining as f64 / remaining_then as f64);
-                        if bound * shrink > gap * PROBE_EXTRAPOLATION_MARGIN {
-                            return false;
-                        }
-                    }
                 }
-                match rank_frozen(&target, p, probe_topk, probe_items) {
-                    ProbeVerdict::Frozen => true,
-                    ProbeVerdict::Blocked { gap, bound } => {
-                        blocked = Some((gap, bound, p.delta, p.remaining));
-                        false
-                    }
+            }
+            match rank_frozen(&target, p, probe_topk, probe_items) {
+                ProbeVerdict::Frozen => true,
+                ProbeVerdict::Blocked { gap, bound } => {
+                    blocked = Some((gap, bound, p.delta, p.remaining));
+                    false
                 }
-            };
-            // Below the probe budget there is no rank confirmation for an
-            // ε-convergence stop, so restrict the rule to exact fixed
-            // points (δ = 0) — those are rank-safe unconditionally.
-            let (epsilon, probe_dyn): (f64, RankProbe<'_>) = if iterations >= PROBE_MIN_BUDGET {
-                (epsilon, Some(&mut probe))
-            } else {
-                (-1.0, None)
-            };
-            truncated_costs_converge_into(
-                target.scratch.kernel(),
-                target.absorbing,
-                cost,
-                iterations,
-                epsilon,
-                probe_dyn,
-                cancel,
-                walk,
-            )
+            }
         }
+    });
+    // The deadline check the DP consults on measured iterations.
+    let expired = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
+    let cancel = deadline.is_some().then_some(&expired as &dyn Fn() -> bool);
+    let exit = match (probe.as_mut(), stopping) {
+        (None, _) => None,
+        // Fixed stopping runs every iteration; a deadline adds the measured
+        // iterations it is checked on, with the convergence rule restricted
+        // to exact fixed points (ε < 0) — the only extra exits are the
+        // bit-identical δ2 = 0 stop and the deadline itself.
+        (Some(_), DpStopping::Fixed) => cancel.map(|cancel| EarlyExit {
+            epsilon: -1.0,
+            probe: None,
+            cancel: Some(cancel),
+        }),
+        // Below the probe budget there is no rank confirmation for an
+        // ε-convergence stop, so restrict the rule to exact fixed points
+        // (δ2 = 0) — those are rank-safe unconditionally.
+        (Some(_), DpStopping::Adaptive { .. }) if iterations < PROBE_MIN_BUDGET => {
+            Some(EarlyExit {
+                epsilon: -1.0,
+                probe: None,
+                cancel,
+            })
+        }
+        (Some(probe), DpStopping::Adaptive { epsilon }) => Some(EarlyExit {
+            epsilon,
+            probe: Some(probe as &mut dyn FnMut(&DpProbe<'_>) -> bool),
+            cancel,
+        }),
     };
+    let run = parity_chain_costs_into(
+        subgraph.kernel(),
+        sides_of(subgraph),
+        absorbing,
+        cost,
+        iterations,
+        exit,
+        walk,
+    );
     dp_telemetry.record(&run);
     run
+}
+
+/// The subgraph's bipartition for the parity chain: the walk family ranks
+/// items, so the item rows are the side that must land on τ.
+fn sides_of(subgraph: &SubgraphScratch) -> ParitySides<'_> {
+    ParitySides {
+        target: subgraph.item_rows(),
+        other: subgraph.user_rows(),
+    }
 }
 
 /// Reset `out` to an all-unreachable score vector for `graph`'s catalog.
@@ -312,12 +311,11 @@ pub(crate) fn write_scores_from_scratch<G: GraphView>(
     out: &mut [f64],
 ) {
     let n_users = graph.n_users();
-    for (local, &global) in scratch.global_ids().iter().enumerate() {
-        if global >= n_users {
-            let v = values[local];
-            if v.is_finite() {
-                out[global - n_users] = -v;
-            }
+    let global_ids = scratch.global_ids();
+    for &local in scratch.item_rows() {
+        let v = values[local as usize];
+        if v.is_finite() {
+            out[global_ids[local as usize] - n_users] = -v;
         }
     }
 }
@@ -341,18 +339,17 @@ pub(crate) fn collect_walk_topk<G: GraphView>(
     collector: &mut TopKCollector,
 ) {
     let n_users = graph.n_users();
-    for (local, &global) in scratch.global_ids().iter().enumerate() {
-        if global >= n_users {
-            let item = (global - n_users) as u32;
-            if rated.binary_search(&item).is_ok() {
-                continue;
-            }
-            if !extra.is_empty() && extra.binary_search(&item).is_ok() {
-                continue;
-            }
-            if let Some(v) = walk.finite_cost(local as u32) {
-                collector.push(item, -v);
-            }
+    let global_ids = scratch.global_ids();
+    for &local in scratch.item_rows() {
+        let item = (global_ids[local as usize] - n_users) as u32;
+        if rated.binary_search(&item).is_ok() {
+            continue;
+        }
+        if !extra.is_empty() && extra.binary_search(&item).is_ok() {
+            continue;
+        }
+        if let Some(v) = walk.finite_cost(local) {
+            collector.push(item, -v);
         }
     }
 }
@@ -363,7 +360,7 @@ pub(crate) fn collect_walk_topk<G: GraphView>(
 /// By monotonicity each item's score (`-value`) can only *decrease* before
 /// the fixed-τ horizon, by at most its remaining-change bound — the probe's
 /// per-node bound when `per_node` (sound for the unit-cost walks, see
-/// [`DpProbe::node_bound`]), the global `δ_t · (τ − t)` otherwise. The list
+/// [`DpProbe::node_bound`]), the global `δ2_t · (τ − t)/2` otherwise. The list
 /// is frozen when
 ///
 /// 1. every adjacent pair of the current list keeps its order even if the
@@ -381,7 +378,7 @@ pub(crate) fn collect_walk_topk<G: GraphView>(
 ///    without being twins, so a tied boundary is never declared frozen.
 ///
 /// The candidate set itself is stable by the time the probe is consulted:
-/// the DP only probes once `δ_t` is finite, after the `∞` front has closed
+/// the DP only probes once `δ2_t` is finite, after the `∞` front has closed
 /// (see `longtail_markov::dp`), so no item can later appear in or vanish
 /// from the subgraph's finite set.
 pub(crate) fn rank_frozen<G: GraphView>(
@@ -414,21 +411,21 @@ pub(crate) fn rank_frozen<G: GraphView>(
     // candidate, under the scores the walk would serve if stopped now.
     collector.reset(k + 1);
     let n_users = graph.n_users();
-    for (local, &global) in scratch.global_ids().iter().enumerate() {
-        if global >= n_users {
-            let item = (global - n_users) as u32;
-            let excluded = if rated_absorbing {
-                absorbing[local]
-            } else {
-                rated.binary_search(&item).is_ok()
-            } || (!extra.is_empty() && extra.binary_search(&item).is_ok());
-            if excluded {
-                continue;
-            }
-            let v = probe.values[local];
-            if v.is_finite() {
-                collector.push(item, -v);
-            }
+    let global_ids = scratch.global_ids();
+    for &local in scratch.item_rows() {
+        let local = local as usize;
+        let item = (global_ids[local] - n_users) as u32;
+        let excluded = if rated_absorbing {
+            absorbing[local]
+        } else {
+            rated.binary_search(&item).is_ok()
+        } || (!extra.is_empty() && extra.binary_search(&item).is_ok());
+        if excluded {
+            continue;
+        }
+        let v = probe.values[local];
+        if v.is_finite() {
+            collector.push(item, -v);
         }
     }
     collector.drain_sorted_into(items);

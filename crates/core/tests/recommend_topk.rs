@@ -195,6 +195,17 @@ fn check_batch_equivalence(rec: &dyn Recommender, d: &Dataset) -> Result<(), Tes
     Ok(())
 }
 
+/// An AC configuration whose τ budget arms the rank-stability probe.
+fn long_cost_config() -> AbsorbingCostConfig {
+    AbsorbingCostConfig {
+        graph: GraphRecConfig {
+            max_items: 6000,
+            iterations: 150,
+        },
+        ..AbsorbingCostConfig::default()
+    }
+}
+
 fn check_both(rec: &dyn Recommender, d: &Dataset) -> Result<(), TestCaseError> {
     check_fused_equivalence(rec, d)?;
     check_exclusion_equivalence(rec, d)?;
@@ -217,6 +228,13 @@ proptest! {
         );
         check_both(&tight, &d)?;
         check_adaptive_rank_equivalence(&tight, &d)?;
+        // A long budget arms the rank probe (τ ≥ 32) with HT's per-node
+        // two-step bound.
+        let long = HittingTimeRecommender::new(
+            &d,
+            GraphRecConfig { max_items: 6000, iterations: 150 },
+        );
+        check_adaptive_rank_equivalence(&long, &d)?;
     }
 
     #[test]
@@ -239,6 +257,11 @@ proptest! {
         let ac1 = AbsorbingCostRecommender::item_entropy(&d, AbsorbingCostConfig::default());
         check_both(&ac1, &d)?;
         check_adaptive_rank_equivalence(&ac1, &d)?;
+        // A long budget arms the rank probe with the global two-step bound
+        // (entropy costs are not superharmonic) — the path a deep AC1
+        // serving budget takes.
+        let long = AbsorbingCostRecommender::item_entropy(&d, long_cost_config());
+        check_adaptive_rank_equivalence(&long, &d)?;
     }
 
     #[test]
@@ -251,6 +274,8 @@ proptest! {
         );
         check_both(&ac2, &d)?;
         check_adaptive_rank_equivalence(&ac2, &d)?;
+        let long = AbsorbingCostRecommender::topic_entropy_auto(&d, 2, long_cost_config());
+        check_adaptive_rank_equivalence(&long, &d)?;
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! instead of re-sorting by local id (the dynamic programs are
 //! order-independent; only the last-ulp floating-point rounding of row sums
 //! can differ from the owned-`Subgraph` path).
+//!
+//! `grow` also records each side of the bipartition as it admits nodes — the
+//! local ids of the user rows and of the item rows, each in admission order
+//! — so the walk DP can sweep one side at a time without a pass over the
+//! node list.
 
 use crate::transition::TransitionMatrix;
 use crate::view::GraphView;
@@ -42,7 +47,10 @@ pub struct SubgraphScratch {
     epoch: u64,
     marks: Vec<Mark>,
     global_of_local: Vec<usize>,
-    n_local_items: usize,
+    /// Local ids of the admitted user nodes, in admission order.
+    user_rows: Vec<u32>,
+    /// Local ids of the admitted item nodes, in admission order.
+    item_rows: Vec<u32>,
     queue: VecDeque<usize>,
     kernel: TransitionMatrix,
 }
@@ -54,7 +62,8 @@ impl SubgraphScratch {
             epoch: 0,
             marks: Vec::new(),
             global_of_local: Vec::new(),
-            n_local_items: 0,
+            user_rows: Vec::new(),
+            item_rows: Vec::new(),
             queue: VecDeque::new(),
             kernel: TransitionMatrix::empty(),
         }
@@ -78,7 +87,8 @@ impl SubgraphScratch {
         }
         self.epoch += 1;
         self.global_of_local.clear();
-        self.n_local_items = 0;
+        self.user_rows.clear();
+        self.item_rows.clear();
         self.queue.clear();
 
         let n_users = graph.n_users();
@@ -90,7 +100,7 @@ impl SubgraphScratch {
         }
 
         while let Some(node) = self.queue.pop_front() {
-            if self.n_local_items > max_items {
+            if self.item_rows.len() > max_items {
                 // Budget exhausted: stop growing, keep what we have.
                 break;
             }
@@ -112,11 +122,14 @@ impl SubgraphScratch {
         if mark.stamp == self.epoch {
             return false;
         }
+        let local = self.global_of_local.len() as u32;
         mark.stamp = self.epoch;
-        mark.local = self.global_of_local.len() as u32;
+        mark.local = local;
         self.global_of_local.push(node);
         if node >= n_users {
-            self.n_local_items += 1;
+            self.item_rows.push(local);
+        } else {
+            self.user_rows.push(local);
         }
         true
     }
@@ -168,7 +181,21 @@ impl SubgraphScratch {
     /// Number of item nodes retained by the last `grow`.
     #[inline]
     pub fn n_items(&self) -> usize {
-        self.n_local_items
+        self.item_rows.len()
+    }
+
+    /// Local ids of the user nodes retained by the last `grow`, in
+    /// admission order: one side of the kernel's bipartition.
+    #[inline]
+    pub fn user_rows(&self) -> &[u32] {
+        &self.user_rows
+    }
+
+    /// Local ids of the item nodes retained by the last `grow`, in
+    /// admission order: the other side of the kernel's bipartition.
+    #[inline]
+    pub fn item_rows(&self) -> &[u32] {
+        &self.item_rows
     }
 
     /// Local id of a global node, if retained by the last `grow`.
@@ -244,6 +271,20 @@ mod tests {
         assert_eq!(scratch.n_nodes(), reference.n_nodes());
         assert_eq!(scratch.n_items(), reference.n_items());
         assert_eq!(scratch.global_ids(), reference.global_ids());
+        // The side lists partition the local ids by node kind.
+        for (local, &global) in scratch.global_ids().iter().enumerate() {
+            let local = local as u32;
+            let side = if global >= graph.n_users() {
+                scratch.item_rows()
+            } else {
+                scratch.user_rows()
+            };
+            assert!(side.contains(&local), "local {local} missing from its side");
+        }
+        assert_eq!(
+            scratch.user_rows().len() + scratch.item_rows().len(),
+            scratch.n_nodes()
+        );
         for g in 0..graph.n_nodes() {
             assert_eq!(scratch.local_id(g), reference.local_id(g), "node {g}");
         }

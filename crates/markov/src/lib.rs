@@ -7,11 +7,14 @@
 //! * [`absorbing`] — absorbing times and entropy-biased absorbing costs
 //!   (Definitions 2–3, Eq. 6–9), each with a truncated `O(τ·m)` dynamic
 //!   program and an exact LU-based solver;
-//! * [`dp`] — the allocation-free truncated dynamic program over a
-//!   pre-normalized [`longtail_graph::TransitionMatrix`], with caller-owned
-//!   [`DpBuffers`] (the batch-scoring hot path) and an adaptive
-//!   early-terminating form ([`truncated_costs_converge_into`]) that stops
-//!   once the remaining iterations provably cannot matter;
+//! * [`dp`] — the allocation-free truncated dynamic programs over a
+//!   pre-normalized [`longtail_graph::TransitionMatrix`] with caller-owned
+//!   [`DpBuffers`]: the full-vector reference ([`truncated_costs_into`])
+//!   and the serving form ([`parity_chain_costs_into`]), which sweeps only
+//!   the half of a bipartite walk that reaches the target side at τ
+//!   (bit-identical there, half the edge work) and can stop early, by
+//!   two-step increment bounds, once the remaining iterations provably
+//!   cannot matter;
 //! * [`cost`] — per-node entry-cost models (unit cost ⇒ absorbing time,
 //!   entropy cost ⇒ the AC1/AC2 models);
 //! * [`pagerank`] — personalized PageRank power iteration (PPR/DPPR
@@ -30,7 +33,10 @@ pub mod pagerank;
 
 pub use absorbing::AbsorbingWalk;
 pub use cost::{entropy_cost, CostModel, PerNodeCost, SliceCost, UnitCost};
-pub use dp::{truncated_costs_converge_into, truncated_costs_into, DpBuffers, DpProbe, DpRun};
+pub use dp::{
+    parity_chain_costs_into, truncated_costs_into, DpBuffers, DpProbe, DpRun, EarlyExit,
+    ParitySides,
+};
 pub use hitting::{exact_hitting_times, truncated_hitting_times};
 pub use pagerank::{
     personalized_pagerank, personalized_pagerank_into, PageRankBuffers, PageRankConfig,
