@@ -17,6 +17,19 @@
 //! overlay kernels are therefore bit-identical to kernels of a graph
 //! rebuilt from scratch, which is what the overlay-equivalence property
 //! suite pins.
+//!
+//! # Untouched rows run at base speed
+//!
+//! A live delta touches a few dozen rows out of tens of thousands, so the
+//! overlay must not tax the rest. [`EdgeDelta`] keeps one *touched* bitset
+//! per side, maintained by [`EdgeDelta::insert`] under the invariant
+//! **bit set ⇔ the node's delta row is non-empty** (insert adds to both
+//! rows of an edge and nothing ever removes one). [`OverlayGraph`] tests
+//! that bit before anything else: only a touched row looks up its delta row
+//! in the hash map and runs the merge, which is kept out of line. An
+//! untouched row goes straight to the plain loop over its base CSR row, the
+//! same loop the merge finishes a row with. Untimed visits load no
+//! timestamps at all.
 
 use crate::bipartite::BipartiteGraph;
 use crate::view::GraphView;
@@ -37,7 +50,27 @@ pub struct EdgeDelta {
     n_items: usize,
     by_user: HashMap<u32, Vec<DeltaEdge>>,
     by_item: HashMap<u32, Vec<DeltaEdge>>,
+    /// Bit `u` set iff `by_user[u]` is non-empty.
+    touched_users: Vec<u64>,
+    /// Bit `i` set iff `by_item[i]` is non-empty.
+    touched_items: Vec<u64>,
     n_edges: usize,
+}
+
+/// Set bit `i` of a bitset, growing it as needed.
+fn set_bit(bits: &mut Vec<u64>, i: u32) {
+    let word = i as usize / 64;
+    if word >= bits.len() {
+        bits.resize(word + 1, 0);
+    }
+    bits[word] |= 1 << (i % 64);
+}
+
+/// Bit `i` of a bitset (unset past its end).
+#[inline]
+fn bit(bits: &[u64], i: u32) -> bool {
+    bits.get(i as usize / 64)
+        .is_some_and(|&word| word & (1 << (i % 64)) != 0)
 }
 
 impl EdgeDelta {
@@ -95,6 +128,8 @@ impl EdgeDelta {
             weight,
             timestamp,
         );
+        set_bit(&mut self.touched_users, user);
+        set_bit(&mut self.touched_items, item);
         if fresh {
             self.n_edges += 1;
         }
@@ -128,10 +163,16 @@ impl EdgeDelta {
         self.by_item.get(&i).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether user `u` has any delta edges.
+    /// Whether user `u` has any delta edges (a bit test).
     #[inline]
     pub fn touches_user(&self, u: u32) -> bool {
-        self.by_user.contains_key(&u)
+        bit(&self.touched_users, u)
+    }
+
+    /// Whether item `i` has any delta edges (a bit test).
+    #[inline]
+    pub fn touches_item(&self, i: u32) -> bool {
+        bit(&self.touched_items, i)
     }
 
     /// Visit every delta edge as `(user, item, weight, timestamp)`, in
@@ -147,10 +188,27 @@ impl EdgeDelta {
     }
 }
 
-/// Merge a base CSR row (targets + weights + optional times) with a delta
-/// row, both sorted ascending, visiting `(flat_id, weight, time)` with
-/// duplicate targets summed (times maxed). `shift` lifts the stored target
-/// ids into the flat node space.
+/// Visit a base CSR row (targets + weights + optional times) as
+/// `(flat_id, weight, time)`, time `0.0` if absent. `shift` lifts the
+/// stored target ids into the flat node space.
+#[inline]
+fn visit_base(
+    cols: &[u32],
+    weights: &[f64],
+    times: Option<&[f64]>,
+    shift: usize,
+    f: &mut impl FnMut(usize, f64, f64),
+) {
+    for (k, (&c, &w)) in cols.iter().zip(weights).enumerate() {
+        f(c as usize + shift, w, times.map_or(0.0, |t| t[k]));
+    }
+}
+
+/// Merge a base CSR row with a delta row, both sorted ascending, visiting
+/// `(flat_id, weight, time)` with duplicate targets summed (times maxed).
+/// Kept out of line: only the few rows a delta touches get here, and
+/// inlining it would bloat the loop of every caller.
+#[inline(never)]
 fn merge_rows(
     base_cols: &[u32],
     base_w: &[f64],
@@ -179,9 +237,13 @@ fn merge_rows(
             }
         }
     }
-    for k in i..base_cols.len() {
-        f(base_cols[k] as usize + shift, base_w[k], bt(k));
-    }
+    visit_base(
+        &base_cols[i..],
+        &base_w[i..],
+        base_t.map(|t| &t[i..]),
+        shift,
+        f,
+    );
     for &(dc, dw, dt) in &delta[j..] {
         f(dc as usize + shift, dw, dt);
     }
@@ -244,29 +306,92 @@ impl GraphView for OverlayGraph<'_> {
 
     #[inline]
     fn for_each_edge(&self, node: usize, mut f: impl FnMut(usize, f64)) {
-        self.for_each_edge_timed(node, |nbr, w, _| f(nbr, w));
+        self.visit(node, false, &mut |n, w, _| f(n, w));
     }
 
     fn for_each_edge_timed(&self, node: usize, mut f: impl FnMut(usize, f64, f64)) {
-        let n_users = self.n_users();
-        if node < n_users {
+        self.visit(node, true, &mut f);
+    }
+}
+
+/// One overlay row resolved to its sources.
+struct OverlayRow<'a> {
+    /// Targets, weights and (if asked for and stored) timestamps of the
+    /// base CSR row; empty past the base's dimensions.
+    cols: &'a [u32],
+    weights: &'a [f64],
+    times: Option<&'a [f64]>,
+    /// Offset lifting stored target ids into the flat node space.
+    shift: usize,
+    /// The delta row; empty, with no hash lookup, if the touched bit is
+    /// clear.
+    delta: &'a [DeltaEdge],
+}
+
+impl<'a> OverlayGraph<'a> {
+    /// Visit `node`'s merged row, with base timestamps if `timed`. An
+    /// untouched row runs the base loop directly, without the merge.
+    #[inline]
+    fn visit(&self, node: usize, timed: bool, f: &mut impl FnMut(usize, f64, f64)) {
+        let row = self.row(node, timed);
+        // Already `None` when untimed, but restated so that the untimed
+        // loop sees a constant even where `row` is not inlined.
+        let times = if timed { row.times } else { None };
+        if row.delta.is_empty() {
+            visit_base(row.cols, row.weights, times, row.shift, f);
+        } else {
+            merge_rows(row.cols, row.weights, times, row.delta, row.shift, f);
+        }
+    }
+
+    /// Resolve flat `node` to its base row (with timestamps if `timed`)
+    /// and, behind its touched bit, its delta row.
+    #[inline]
+    fn row(&self, node: usize, timed: bool) -> OverlayRow<'a> {
+        let (base, delta) = (self.base, self.delta);
+        let n_users = delta.n_users();
+        let (block, times, base_row, in_base, shift, delta_row) = if node < n_users {
             let u = node as u32;
-            let (cols, w, t) = if node < self.base.n_users() {
-                let (cols, w) = self.base.user_items().row(node);
-                (cols, w, self.base.user_item_times().map(|m| m.row(node).1))
-            } else {
-                (&[][..], &[][..], None)
-            };
-            merge_rows(cols, w, t, self.delta.user_row(u), n_users, &mut f);
+            (
+                base.user_items(),
+                base.user_item_times(),
+                node,
+                node < base.n_users(),
+                n_users,
+                if delta.touches_user(u) {
+                    delta.user_row(u)
+                } else {
+                    &[]
+                },
+            )
         } else {
             let i = node - n_users;
-            let (cols, w, t) = if i < self.base.n_items() {
-                let (cols, w) = self.base.item_users().row(i);
-                (cols, w, self.base.item_user_times().map(|m| m.row(i).1))
-            } else {
-                (&[][..], &[][..], None)
-            };
-            merge_rows(cols, w, t, self.delta.item_row(i as u32), 0, &mut f);
+            (
+                base.item_users(),
+                base.item_user_times(),
+                i,
+                i < base.n_items(),
+                0,
+                if delta.touches_item(i as u32) {
+                    delta.item_row(i as u32)
+                } else {
+                    &[]
+                },
+            )
+        };
+        let (cols, weights, times) = if in_base {
+            let (cols, weights) = block.row(base_row);
+            let times = times.filter(|_| timed).map(|m| m.row(base_row).1);
+            (cols, weights, times)
+        } else {
+            (&[][..], &[][..], None)
+        };
+        OverlayRow {
+            cols,
+            weights,
+            times,
+            shift,
+            delta: delta_row,
         }
     }
 }
@@ -298,6 +423,11 @@ mod tests {
         assert_eq!(d.user_row(0), &[(2, 3.0, 20.0)]);
         assert_eq!(d.item_row(2), &[(0, 3.0, 20.0)]);
         assert!(d.touches_user(3) && !d.touches_user(1));
+        assert!(d.touches_item(2) && d.touches_item(4) && !d.touches_item(0));
+        assert!(
+            !d.touches_user(1000) && !d.touches_item(1000),
+            "past the bitset"
+        );
         let mut edges = Vec::new();
         d.for_each(|u, i, w, t| edges.push((u, i, w, t)));
         assert_eq!(edges, vec![(0, 2, 3.0, 20.0), (3, 4, 5.0, 30.0)]);

@@ -6,13 +6,35 @@
 //! itself is cheap. [`SubgraphScratch`] amortizes all of it: the global→local
 //! map is one epoch-stamped mark array allocated once per context and
 //! *never cleared* (a node is a member iff its stamp equals the current
-//! epoch), and every other buffer — BFS queue, local id list, induced
+//! epoch), and every other buffer — local id list, side lists, induced
 //! transition kernel — is rebuilt in place, retaining capacity across
 //! queries.
 //!
-//! `grow` visits nodes in exactly the same order as `Subgraph::bfs_from`,
-//! so membership, id assignment and the item budget behave identically.
-//! Kernel rows keep the *global* neighbor order of the bipartite CSR
+//! # No queue
+//!
+//! A BFS queue holds exactly the admitted nodes, in admission order — which
+//! is what the local id list `global_of_local` already is. `grow` therefore
+//! keeps no queue: a head index walks `global_of_local` while expansion
+//! appends to it, so nodes are visited in exactly the same order as
+//! `Subgraph::bfs_from`, and membership, id assignment and the item budget
+//! behave identically. Local ids are BFS admission order.
+//!
+//! # Branch-free kernel build
+//!
+//! Most of the kernel build's edges come from frontier rows — nodes admitted
+//! but never expanded, whose neighbors are members or not with no pattern a
+//! branch predictor can learn. So the row filter does not branch on
+//! membership: every neighbor's `(local id, weight)` is written at a cursor
+//! that advances by `(stamp == epoch) as usize`, so a non-member's entry is
+//! overwritten by the next neighbor. The kept slice is then summed left to
+//! right from `0.0` and divided by that sum — the same additions and the
+//! same divisions, in the same order, as the branchy filter, so every
+//! probability and degree is bit-identical to it. The cursor may write one
+//! row's worth of non-members past the kept entries, so the buffers grow by
+//! a fixed step whenever the cursor reaches their end (never zero-filled to
+//! capacity) and are truncated to the kept entries once the build is done.
+//!
+//! Kernel rows keep the *view's* neighbor order (ascending global id)
 //! instead of re-sorting by local id (the dynamic programs are
 //! order-independent; only the last-ulp floating-point rounding of row sums
 //! can differ from the owned-`Subgraph` path).
@@ -24,7 +46,10 @@
 
 use crate::transition::TransitionMatrix;
 use crate::view::GraphView;
-use std::collections::VecDeque;
+
+/// Entries the kernel's target and probability buffers grow by when the
+/// build cursor reaches their end.
+const KERNEL_GROW_STEP: usize = 8192;
 
 /// Epoch stamp and local id of one global node, packed together so a
 /// membership probe touches a single cache line.
@@ -46,12 +71,12 @@ pub struct SubgraphScratch {
     /// the current subgraph.
     epoch: u64,
     marks: Vec<Mark>,
+    /// Global ids in local (admission) order; doubles as the BFS queue.
     global_of_local: Vec<usize>,
     /// Local ids of the admitted user nodes, in admission order.
     user_rows: Vec<u32>,
     /// Local ids of the admitted item nodes, in admission order.
     item_rows: Vec<u32>,
-    queue: VecDeque<usize>,
     kernel: TransitionMatrix,
 }
 
@@ -64,7 +89,6 @@ impl SubgraphScratch {
             global_of_local: Vec::new(),
             user_rows: Vec::new(),
             item_rows: Vec::new(),
-            queue: VecDeque::new(),
             kernel: TransitionMatrix::empty(),
         }
     }
@@ -89,38 +113,35 @@ impl SubgraphScratch {
         self.global_of_local.clear();
         self.user_rows.clear();
         self.item_rows.clear();
-        self.queue.clear();
 
         let n_users = graph.n_users();
         for &seed in seeds {
             assert!(seed < n, "seed node {seed} out of range");
-            if self.admit(n_users, seed) {
-                self.queue.push_back(seed);
-            }
+            self.admit(n_users, seed);
         }
 
-        while let Some(node) = self.queue.pop_front() {
+        // `global_of_local[head..]` is the BFS queue: admission appends.
+        let mut head = 0;
+        while head < self.global_of_local.len() {
             if self.item_rows.len() > max_items {
                 // Budget exhausted: stop growing, keep what we have.
                 break;
             }
+            let node = self.global_of_local[head];
+            head += 1;
             // BFS needs neighbor ids only; weights are read in build_kernel.
-            graph.for_each_edge(node, |nbr, _| {
-                if self.admit(n_users, nbr) {
-                    self.queue.push_back(nbr);
-                }
-            });
+            graph.for_each_edge(node, |nbr, _| self.admit(n_users, nbr));
         }
 
         self.build_kernel(graph);
     }
 
-    /// Admit `node` if unseen this epoch; returns whether it was new.
+    /// Admit `node` if unseen this epoch.
     #[inline]
-    fn admit(&mut self, n_users: usize, node: usize) -> bool {
+    fn admit(&mut self, n_users: usize, node: usize) {
         let mark = &mut self.marks[node];
         if mark.stamp == self.epoch {
-            return false;
+            return;
         }
         let local = self.global_of_local.len() as u32;
         mark.stamp = self.epoch;
@@ -131,39 +152,49 @@ impl SubgraphScratch {
         } else {
             self.user_rows.push(local);
         }
-        true
     }
 
     /// Build the induced kernel over the admitted nodes: keep edges whose
     /// endpoints are both members, renormalize each row by its induced
-    /// degree in place.
+    /// degree in place. See the module docs for the cursor filter.
     fn build_kernel<G: GraphView>(&mut self, graph: &G) {
         let epoch = self.epoch;
-        self.kernel.reset(self.global_of_local.len());
-        let kernel = &mut self.kernel;
         let marks = &self.marks;
+        let kernel = &mut self.kernel;
+        kernel.n = self.global_of_local.len();
+        kernel.row_ptr.clear();
+        kernel.row_ptr.push(0);
+        kernel.degree.clear();
+        let (cols, probs) = (&mut kernel.col_idx, &mut kernel.prob);
+        let mut pos = 0;
         for &global in &self.global_of_local {
-            let start = kernel.col_idx.len();
-            let mut d = 0.0;
+            let start = pos;
             graph.for_each_edge(global, |nbr, w| {
-                let mark = marks[nbr];
-                if mark.stamp == epoch {
-                    kernel.col_idx.push(mark.local);
-                    kernel.prob.push(w);
-                    d += w;
+                if pos == cols.len() {
+                    cols.resize(pos + KERNEL_GROW_STEP, 0);
+                    probs.resize(pos + KERNEL_GROW_STEP, 0.0);
                 }
+                let mark = marks[nbr];
+                cols[pos] = mark.local;
+                probs[pos] = w;
+                pos += (mark.stamp == epoch) as usize;
             });
+            let row = &mut probs[start..pos];
+            let d = row.iter().fold(0.0, |d, &w| d + w);
             kernel.degree.push(d);
             if d > 0.0 {
                 // Divide (not multiply by a precomputed reciprocal): `w / d`
                 // must round exactly like the textbook formulation so kernel
                 // walks stay bit-compatible with the unnormalized code.
-                for p in &mut kernel.prob[start..] {
+                for p in row {
                     *p /= d;
                 }
             }
-            kernel.row_ptr.push(kernel.col_idx.len());
+            kernel.row_ptr.push(pos);
         }
+        // Drop the overshoot so the buffers hold exactly `nnz` transitions.
+        cols.truncate(pos);
+        probs.truncate(pos);
     }
 
     /// The induced row-stochastic kernel of the last [`SubgraphScratch::grow`].
@@ -340,6 +371,18 @@ mod tests {
         assert_eq!(scratch.local_id(g.user_node(0)), None);
         // And the result still matches a fresh Subgraph.
         assert_matches_subgraph(&g, &[g.item_node(3)], 0);
+    }
+
+    #[test]
+    fn reused_kernel_equals_a_fresh_one() {
+        let g = figure2_graph();
+        let mut reused = SubgraphScratch::new();
+        reused.grow(&g, &[g.user_node(4)], usize::MAX);
+        reused.grow(&g, &[g.item_node(3)], 0);
+        let mut fresh = SubgraphScratch::new();
+        fresh.grow(&g, &[g.item_node(3)], 0);
+        // Equal buffer for buffer: nothing of the big query is left over.
+        assert_eq!(reused.kernel(), fresh.kernel());
     }
 
     #[test]

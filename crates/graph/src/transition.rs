@@ -99,16 +99,6 @@ impl TransitionMatrix {
         self.row_ptr[i] == self.row_ptr[i + 1]
     }
 
-    /// Reset to an empty kernel over `n` nodes, retaining allocations.
-    pub(crate) fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.row_ptr.clear();
-        self.row_ptr.push(0);
-        self.col_idx.clear();
-        self.prob.clear();
-        self.degree.clear();
-    }
-
     /// Serialize this kernel into a snapshot under `prefix`: sections
     /// `{prefix}.n` (`u64`), `{prefix}.row_ptr` (`u64`), `{prefix}.col_idx`
     /// (`u32`), `{prefix}.prob` (`f64`) and `{prefix}.degree` (`f64`).
@@ -248,11 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_kernel_reset_reuses_allocations() {
-        let mut k = TransitionMatrix::empty();
+    fn empty_kernel_has_no_nodes() {
+        let k = TransitionMatrix::empty();
         assert_eq!(k.n_nodes(), 0);
-        k.reset(5);
-        assert_eq!(k.n_nodes(), 5);
         assert_eq!(k.nnz(), 0);
     }
 
