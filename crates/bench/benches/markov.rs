@@ -5,10 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use longtail_data::{SyntheticConfig, SyntheticData};
-use longtail_graph::{Adjacency, Subgraph};
+use longtail_graph::SubgraphScratch;
 use longtail_markov::AbsorbingWalk;
 
-fn setup() -> (Adjacency, Vec<usize>) {
+fn setup() -> (SubgraphScratch, Vec<usize>) {
     let data = SyntheticData::generate(&SyntheticConfig {
         n_users: 300,
         n_items: 220,
@@ -22,17 +22,18 @@ fn setup() -> (Adjacency, Vec<usize>) {
         .iter()
         .map(|&i| graph.item_node(i))
         .collect();
-    let sub = Subgraph::bfs_from(&graph, &seeds, usize::MAX);
+    let mut scratch = SubgraphScratch::new();
+    scratch.grow(&graph, &seeds, usize::MAX);
     let absorbing: Vec<usize> = seeds
         .iter()
-        .filter_map(|&s| sub.local_id(s).map(|l| l as usize))
+        .filter_map(|&s| scratch.local_id(s).map(|l| l as usize))
         .collect();
-    (sub.adjacency().clone(), absorbing)
+    (scratch, absorbing)
 }
 
 fn bench_absorbing(c: &mut Criterion) {
-    let (adj, absorbing) = setup();
-    let walk = AbsorbingWalk::new(&adj, &absorbing);
+    let (scratch, absorbing) = setup();
+    let walk = AbsorbingWalk::from_kernel(scratch.kernel(), &absorbing);
 
     let mut group = c.benchmark_group("absorbing_time");
     for tau in [5usize, 15, 30, 60] {

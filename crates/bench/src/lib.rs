@@ -7,8 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
-
 use longtail_core::{
     AbsorbingCostConfig, AbsorbingCostRecommender, AbsorbingTimeRecommender, GraphRecConfig,
     HittingTimeRecommender, LdaRecommender, PageRankRecommender, PureSvdRecommender, Recommender,
@@ -51,12 +49,30 @@ impl Corpus {
 }
 
 /// The experiment-wide scale factor from `LONGTAIL_SCALE` (default 1.0).
+///
+/// # Panics
+///
+/// Panics if the variable is set to a value that does not parse as an
+/// `f64`, or is non-finite or not positive.
 pub fn scale_factor() -> f64 {
-    std::env::var("LONGTAIL_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&f| f > 0.0)
-        .unwrap_or(1.0)
+    match std::env::var("LONGTAIL_SCALE") {
+        Ok(v) => parse_scale(Some(&v)),
+        Err(std::env::VarError::NotPresent) => parse_scale(None),
+        Err(e) => panic!("LONGTAIL_SCALE: {e}"),
+    }
+}
+
+/// Parse a `LONGTAIL_SCALE` value: unset means 1.0, and a set value must be
+/// a finite number greater than zero. Panics naming the variable and the
+/// value otherwise.
+fn parse_scale(value: Option<&str>) -> f64 {
+    let Some(v) = value else {
+        return 1.0;
+    };
+    match v.parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => f,
+        _ => panic!("LONGTAIL_SCALE must be a finite number > 0, got {v:?}"),
+    }
 }
 
 /// The full algorithm roster of §5.1.1, trained on one training set.
@@ -239,6 +255,23 @@ mod tests {
         let db = Corpus::Douban.config();
         assert!(db.n_items > ml.n_items);
         assert!(db.min_activity < ml.min_activity);
+    }
+
+    #[test]
+    fn scale_parses_positive_finite_values_only() {
+        assert_eq!(parse_scale(None), 1.0);
+        assert_eq!(parse_scale(Some("0.15")), 0.15);
+        for bad in ["abc", "0,15", "inf", "NaN", "0", "-1"] {
+            let result = std::panic::catch_unwind(|| parse_scale(Some(bad)));
+            let message = *result
+                .expect_err(bad)
+                .downcast::<String>()
+                .expect("formatted panic message");
+            assert!(
+                message.contains("LONGTAIL_SCALE") && message.contains(bad),
+                "{bad}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * [`Adjacency`] — a homogeneous symmetric view for random-walk code;
 //! * [`TransitionMatrix`] — the row-stochastic kernel `p_ij = w_ij / d_i`,
 //!   pre-divided once so walk iterations are multiply-accumulate only;
-//! * [`Subgraph`] — BFS neighborhood extraction with an item budget µ
-//!   (Algorithm 1, step 2);
-//! * [`SubgraphScratch`] — reusable, epoch-stamped buffers that extract the
-//!   same neighborhoods with zero `O(n_nodes)` allocations per query;
+//! * [`SubgraphScratch`] — BFS neighborhood extraction with an item budget
+//!   µ and its induced row-stochastic kernel (Algorithm 1, step 2), in
+//!   reusable, epoch-stamped buffers with zero `O(n_nodes)` allocations per
+//!   query;
 //! * [`GraphView`] — the traversal trait that lets the scratch extractor run
 //!   over the frozen base graph, a streamed-delta overlay, or a
 //!   recency-decayed wrapper, all monomorphized;
@@ -34,7 +34,6 @@ pub mod delta;
 pub mod scratch;
 pub mod snapshot;
 pub mod stats;
-pub mod subgraph;
 pub mod transition;
 pub mod view;
 
@@ -45,6 +44,5 @@ pub use delta::{EdgeDelta, OverlayGraph};
 pub use scratch::SubgraphScratch;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotWriter};
 pub use stats::GraphStats;
-pub use subgraph::Subgraph;
 pub use transition::TransitionMatrix;
 pub use view::{Decayed, GraphView, RecencyDecay};

@@ -3,8 +3,7 @@
 mod common;
 
 use longtail_graph::{
-    BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph, RecencyDecay, Subgraph,
-    SubgraphScratch,
+    BipartiteGraph, Decayed, EdgeDelta, GraphView, OverlayGraph, RecencyDecay, SubgraphScratch,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::Entry;
@@ -18,11 +17,11 @@ proptest! {
     #[test]
     fn mapping_is_a_bijection(ts in ratings(), seed in 0..8u32, budget in 0..12usize) {
         let g = BipartiteGraph::from_ratings(8, 10, &ts);
-        let s = Subgraph::bfs_from(&g, &[seed as usize], budget);
+        let mut s = SubgraphScratch::new();
+        s.grow(&g, &[seed as usize], budget);
         // local -> global -> local round-trips.
-        for local in 0..s.n_nodes() as u32 {
-            let global = s.global_id(local);
-            prop_assert_eq!(s.local_id(global), Some(local));
+        for (local, &global) in s.global_ids().iter().enumerate() {
+            prop_assert_eq!(s.local_id(global), Some(local as u32));
         }
         // Globals outside the subgraph have no local id.
         let retained: std::collections::HashSet<usize> = s.global_ids().iter().copied().collect();
@@ -34,36 +33,22 @@ proptest! {
     }
 
     #[test]
-    fn local_edges_exist_globally(ts in ratings(), seed in 0..8u32) {
-        let g = BipartiteGraph::from_ratings(8, 10, &ts);
-        let s = Subgraph::bfs_from(&g, &[seed as usize], usize::MAX);
-        for local in 0..s.n_nodes() {
-            let global = s.global_id(local as u32);
-            for (lnbr, w) in s.adjacency().neighbors(local) {
-                let gnbr = s.global_id(lnbr);
-                let found = g.neighbors(global).any(|(n, gw)| n == gnbr && (gw - w).abs() < 1e-12);
-                prop_assert!(found, "local edge {local}->{lnbr} missing globally");
-            }
-        }
-    }
-
-    #[test]
     fn unlimited_budget_covers_component(ts in ratings(), seed in 0..8u32) {
         let g = BipartiteGraph::from_ratings(8, 10, &ts);
-        let s = Subgraph::bfs_from(&g, &[seed as usize], usize::MAX);
-        // Every retained node (except possibly an isolated seed) connects to
-        // another retained node, and degrees match the global graph.
-        for local in 0..s.n_nodes() {
-            let global = s.global_id(local as u32);
-            let local_degree = s.adjacency().degree(local);
-            prop_assert!((local_degree - g.degree(global)).abs() < 1e-9);
+        let mut s = SubgraphScratch::new();
+        s.grow(&g, &[seed as usize], usize::MAX);
+        // The whole component is retained, so no edge is cut and every
+        // local degree matches the global graph.
+        for (local, &global) in s.global_ids().iter().enumerate() {
+            prop_assert!((s.kernel().degree(local) - g.degree(global)).abs() < 1e-9);
         }
     }
 
     #[test]
     fn item_count_respects_budget_plus_frontier(ts in ratings(), seed in 0..8u32, budget in 0..10usize) {
         let g = BipartiteGraph::from_ratings(8, 10, &ts);
-        let s = Subgraph::bfs_from(&g, &[seed as usize], budget);
+        let mut s = SubgraphScratch::new();
+        s.grow(&g, &[seed as usize], budget);
         // The budget can be overshot only by the frontier of a single node
         // expansion (a user's whole rating list), never by more.
         let max_activity = (0..8u32).map(|u| g.user_activity(u)).max().unwrap_or(0);

@@ -1,7 +1,7 @@
 //! Integration test: the paper's Figure 2 worked example through the public
 //! API, from rating triples to recommendations.
 
-use longtail::markov::AbsorbingWalk;
+use longtail::markov::{entropy_cost, AbsorbingWalk};
 use longtail::prelude::*;
 use longtail_graph::Adjacency;
 
@@ -101,4 +101,71 @@ fn stationary_distribution_tracks_popularity() {
     let graph = figure2_dataset().to_graph();
     let pi = graph.stationary_distribution();
     assert!(pi[graph.item_node(0)] > pi[graph.item_node(3)]);
+}
+
+/// Assert `got[item] == -values[node]` to 1e-12 relative for every item
+/// node the reference walk does not absorb.
+fn assert_negated_walk_values(
+    got: &[f64],
+    values: &[f64],
+    graph: &BipartiteGraph,
+    walk: &AbsorbingWalk,
+    label: &str,
+) {
+    assert_eq!(got.len(), graph.n_items(), "{label}: length");
+    for (item, &score) in got.iter().enumerate() {
+        let node = graph.item_node(item as u32);
+        if walk.is_absorbing(node) {
+            continue;
+        }
+        let want = -values[node];
+        assert!(
+            (score - want).abs() <= 1e-12 * want.abs(),
+            "{label} item {item}: {score} vs {want}"
+        );
+    }
+}
+
+#[test]
+fn walk_scores_match_a_whole_graph_reference_walk() {
+    // Figure 2 is connected and its 6 items sit far below the default
+    // µ = 6000, so the served subgraph is the whole graph: HT and AC1 must
+    // score what an owned walk over the full adjacency computes, up to
+    // floating-point rounding.
+    let dataset = figure2_dataset();
+    let graph = dataset.to_graph();
+    let adj = Adjacency::from_bipartite(&graph);
+    let config = GraphRecConfig::default();
+    let tau = config.iterations;
+    let ht = HittingTimeRecommender::new(&dataset, config);
+    let ac1 = AbsorbingCostRecommender::item_entropy(
+        &dataset,
+        longtail::core::AbsorbingCostConfig::default(),
+    );
+    let cost = entropy_cost(ac1.user_entropies(), dataset.n_items(), 1.0);
+
+    for user in 0..dataset.n_users() as u32 {
+        let walk = AbsorbingWalk::new(&adj, &[graph.user_node(user)]);
+        assert_negated_walk_values(
+            &ht.score_items(user),
+            &walk.truncated_times(tau),
+            &graph,
+            &walk,
+            &format!("HT user {user}"),
+        );
+
+        let rated: Vec<usize> = dataset
+            .rated_items(user)
+            .iter()
+            .map(|&i| graph.item_node(i))
+            .collect();
+        let walk = AbsorbingWalk::new(&adj, &rated);
+        assert_negated_walk_values(
+            &ac1.score_items(user),
+            &walk.truncated_costs(&cost, tau),
+            &graph,
+            &walk,
+            &format!("AC1 user {user}"),
+        );
+    }
 }

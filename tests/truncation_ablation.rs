@@ -7,7 +7,7 @@
 //! LU solve must overlap heavily.
 
 use longtail::prelude::*;
-use longtail_graph::{Adjacency, Subgraph};
+use longtail_graph::{Adjacency, SubgraphScratch};
 use longtail_markov::AbsorbingWalk;
 
 #[test]
@@ -19,6 +19,7 @@ fn truncated_tau_15_matches_exact_topk() {
     });
     let graph = data.dataset.to_graph();
 
+    let mut scratch = SubgraphScratch::new();
     let mut overlap_sum = 0.0;
     let mut checked = 0usize;
     for user in (0..40u32).filter(|&u| data.dataset.rated_items(u).len() >= 5) {
@@ -28,20 +29,23 @@ fn truncated_tau_15_matches_exact_topk() {
             .iter()
             .map(|&i| graph.item_node(i))
             .collect();
-        let sub = Subgraph::bfs_from(&graph, &seeds, usize::MAX);
+        scratch.grow(&graph, &seeds, usize::MAX);
         let absorbing: Vec<usize> = seeds
             .iter()
-            .filter_map(|&s| sub.local_id(s).map(|l| l as usize))
+            .filter_map(|&s| scratch.local_id(s).map(|l| l as usize))
             .collect();
-        let walk = AbsorbingWalk::new(sub.adjacency(), &absorbing);
+        let walk = AbsorbingWalk::from_kernel(scratch.kernel(), &absorbing);
         let truncated = walk.truncated_times(15);
         let Ok(exact) = walk.exact_times() else {
             continue;
         };
 
         // Rank candidate item nodes (non-absorbing items) both ways.
-        let candidates: Vec<usize> = (0..sub.n_nodes())
-            .filter(|&l| graph.is_item_node(sub.global_id(l as u32)) && !absorbing.contains(&l))
+        let candidates: Vec<usize> = scratch
+            .item_rows()
+            .iter()
+            .map(|&l| l as usize)
+            .filter(|l| !absorbing.contains(l))
             .collect();
         if candidates.len() < 20 {
             continue;
