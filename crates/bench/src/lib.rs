@@ -5,6 +5,7 @@
 //! dataset presets, the algorithm roster, and paper reference values for
 //! side-by-side printing.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use longtail_core::{

@@ -35,6 +35,7 @@
 //! assert_eq!(top[0].item, 2); // the item user 0 hasn't seen yet
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

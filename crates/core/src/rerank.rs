@@ -129,6 +129,10 @@ impl RerankPolicy {
 /// Built once per model from training data ([`RerankIndex::from_dataset`])
 /// and shared across requests; in `longtail-serve` the [`crate::Recommender`]'s
 /// engine registration attaches one per model.
+///
+/// Items past the catalog the index was built over — items a delta overlay
+/// added after training — read as unrated in training: degree 0,
+/// percentile 0 (so tail under every positive cutoff) and no raters.
 #[derive(Debug, Clone)]
 pub struct RerankIndex {
     n_users: usize,
@@ -200,15 +204,17 @@ impl RerankIndex {
         self.n_users
     }
 
-    /// Rating count of `item` in the training data.
+    /// Rating count of `item` in the training data (`0` past the
+    /// catalog).
     pub fn degree(&self, item: u32) -> u32 {
-        self.degrees[item as usize]
+        self.degrees.get(item as usize).copied().unwrap_or(0)
     }
 
     /// Popularity percentile of `item`: the fraction of catalog items
-    /// with strictly fewer ratings (`0` = least popular).
+    /// with strictly fewer ratings (`0` = least popular, and past the
+    /// catalog).
     pub fn percentile(&self, item: u32) -> f64 {
-        self.percentiles[item as usize]
+        self.percentiles.get(item as usize).copied().unwrap_or(0.0)
     }
 
     /// Whether `item` is a tail item under `cutoff` (percentile strictly
@@ -217,19 +223,23 @@ impl RerankIndex {
         self.percentile(item) < cutoff
     }
 
-    /// The (ascending) users who rated `item`.
+    /// The (ascending) users who rated `item` (none past the catalog).
     pub fn users_of(&self, item: u32) -> &[u32] {
         let i = item as usize;
-        &self.user_ids[self.user_offsets[i]..self.user_offsets[i + 1]]
+        match self.user_offsets.get(i..i + 2) {
+            Some(&[start, end]) => &self.user_ids[start..end],
+            _ => &[],
+        }
     }
 
     /// Shared-neighbor cosine similarity on the bipartite graph:
     /// `|U(a) ∩ U(b)| / √(|U(a)| · |U(b)|)`, `0` when either is unrated.
+    ///
+    /// This pairwise merge is the definition; the MMR stage of the serving
+    /// path counts the same intersections against marked raters instead
+    /// (see [`RerankScratch`]) and shares the formula through one helper.
     pub fn similarity(&self, a: u32, b: u32) -> f64 {
         let (ua, ub) = (self.users_of(a), self.users_of(b));
-        if ua.is_empty() || ub.is_empty() {
-            return 0.0;
-        }
         let mut shared = 0usize;
         let (mut i, mut j) = (0usize, 0usize);
         while i < ua.len() && j < ub.len() {
@@ -243,8 +253,19 @@ impl RerankIndex {
                 }
             }
         }
-        shared as f64 / ((ua.len() * ub.len()) as f64).sqrt()
+        cosine(shared, ua.len(), ub.len())
     }
+}
+
+/// The shared-neighbor cosine of two rater sets of sizes `a` and `b` with
+/// `shared` raters in common: `shared / √(a · b)`, `0` when either is
+/// empty.
+#[inline]
+fn cosine(shared: usize, a: usize, b: usize) -> f64 {
+    if a == 0 || b == 0 {
+        return 0.0;
+    }
+    shared as f64 / ((a * b) as f64).sqrt()
 }
 
 /// A policy bound to the index it re-ranks against — the form
@@ -280,6 +301,11 @@ pub struct ItemProvenance {
 
 /// Reusable per-context buffers for the re-rank pass, plus the provenance
 /// trace of the *last* re-ranked query. Lives in [`crate::ScoringContext`].
+///
+/// `marks` holds one epoch stamp per user: the raters of the latest MMR
+/// pick are the users whose stamp equals `epoch`. Each pick bumps `epoch`
+/// and stamps its raters, so the array is never cleared — a stale stamp is
+/// always below the current epoch, and a `u64` epoch never wraps.
 #[derive(Debug, Clone, Default)]
 pub struct RerankScratch {
     pool: Vec<ScoredItem>,
@@ -289,6 +315,8 @@ pub struct RerankScratch {
     picked: Vec<bool>,
     selected: Vec<usize>,
     trace: Vec<ItemProvenance>,
+    marks: Vec<u64>,
+    epoch: u64,
 }
 
 impl RerankScratch {
@@ -314,6 +342,16 @@ impl RerankScratch {
 /// to tail candidates (while any remain — an unsatisfiable quota falls
 /// back to best-available). Ties break toward the better-scored pool rank,
 /// keeping the no-op knobs (λ=0, penalty=0) order-preserving.
+///
+/// After each pick, every unpicked candidate's `max_sim` takes its
+/// similarity to the pick. That is [`RerankIndex::similarity`], but not by
+/// a sorted-list merge per pair: the pick's raters are stamped into
+/// `scratch`'s epoch marks once, and each candidate counts its marked
+/// raters with a branch-free sum. The count is the same integer, and the
+/// same [`cosine`] of it gives the same `f64`, so lists and traces are
+/// bit-identical to the pairwise definition — at one pass over the pick's
+/// raters plus one over each candidate's, instead of a branchy merge per
+/// pair.
 ///
 /// `out` keeps the original walk scores, re-ordered; the provenance trace
 /// lands in `scratch` for the serving layer to surface.
@@ -365,6 +403,9 @@ pub(crate) fn apply(
     scratch.picked.clear();
     scratch.picked.resize(n, false);
     scratch.selected.clear();
+    if scratch.marks.len() < index.n_users() {
+        scratch.marks.resize(index.n_users(), 0);
+    }
 
     let quota = policy.tail_quota.min(target);
     let mut tail_selected = 0usize;
@@ -401,11 +442,23 @@ pub(crate) fn apply(
             tail_remaining -= 1;
         }
         if lambda > 0.0 && scratch.selected.len() < target {
-            for i in 0..n {
-                if !scratch.picked[i] {
-                    let sim = index.similarity(pool[pick].item, pool[i].item);
-                    if sim > scratch.max_sim[i] {
-                        scratch.max_sim[i] = sim;
+            scratch.epoch += 1;
+            let epoch = scratch.epoch;
+            let raters = index.users_of(pool[pick].item);
+            for &u in raters {
+                scratch.marks[u as usize] = epoch;
+            }
+            let candidates = pool.iter().zip(&scratch.picked).zip(&mut scratch.max_sim);
+            for ((cand, &picked), max_sim) in candidates {
+                if !picked {
+                    let users = index.users_of(cand.item);
+                    let shared: usize = users
+                        .iter()
+                        .map(|&u| (scratch.marks[u as usize] == epoch) as usize)
+                        .sum();
+                    let sim = cosine(shared, raters.len(), users.len());
+                    if sim > *max_sim {
+                        *max_sim = sim;
                     }
                 }
             }

@@ -14,6 +14,7 @@
 //! * [`sampling`] — the sampling primitives (Dirichlet, Zipf, power-law)
 //!   the generator is built from.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;

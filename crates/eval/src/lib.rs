@@ -17,6 +17,7 @@
 //! * [`report`] — result containers and Markdown rendering shared by the
 //!   experiment binaries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lists;

@@ -25,6 +25,7 @@
 //! * [`snapshot`] — the versioned, checksummed binary snapshot format that
 //!   persists trained model state ([`SnapshotWriter`] / [`Snapshot`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adjacency;

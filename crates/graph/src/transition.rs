@@ -17,6 +17,11 @@ use crate::adjacency::Adjacency;
 /// rounded quotient `w_ij / d_i` the unnormalized code recomputed per
 /// iteration, so kernel walks evaluate the same recursion (up to summation
 /// order within a row).
+///
+/// Every stored column is `< n_nodes()`: `from_adjacency` reads a square
+/// adjacency, `load_from` validates, and the subgraph scratch stores local
+/// ids of admitted nodes only. The walk DP's AVX2 gather relies on it to
+/// stay in bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
     pub(crate) n: usize,

@@ -14,6 +14,7 @@
 //!   (PureSVD's factorization backend);
 //! * [`ops`] — the [`LinearOp`] trait for matrix-free operators.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;

@@ -26,9 +26,27 @@
 //! caller reads depends on. The chain sweeps one side per iteration, in
 //! place — the side that lands on the *target* side (the items) at τ, the
 //! other side in between — so it does half the edge work. Both programs
-//! share the per-row reduction (and pick the checked or fast variant by the
-//! same test), so every target-side value of the chain is bit-for-bit the
-//! reference value.
+//! share the per-row reduction (and pick its variant by the same test), so
+//! every target-side value of the chain is bit-for-bit the reference value.
+//!
+//! The reduction has three variants, picked once per call:
+//!
+//! * **checked** — when a transient row is dangling, `∞` can enter the
+//!   recursion, so each row is reduced in order and short-circuits on `∞`;
+//! * **scalar** — otherwise every value stays finite, and four accumulators
+//!   break the add latency chain: lane `k` takes entries `4c + k` in order,
+//!   the lanes combine as `(a0 + a1) + (a2 + a3)`, the remainder is added
+//!   in order;
+//! * **AVX2** — the scalar variant's four accumulators as the lanes of one
+//!   register, with the four values gathered by `_mm256_i32gather_pd` and a
+//!   separate multiply and add (no FMA). Each lane sees the same operands in
+//!   the same order, and the combine and remainder are the scalar code, so
+//!   the result is bit-for-bit the scalar one — the scalar variant stays
+//!   the fallback and the oracle. It runs when
+//!   `is_x86_feature_detected!("avx2")` holds; the sweeps are compiled for
+//!   AVX2 as a whole (`#[target_feature]`), so the gather inlines into the
+//!   row loop and no row pays an indirect call. Non-x86 targets and checked
+//!   kernels never take it.
 //!
 //! # Early termination
 //!
@@ -327,43 +345,64 @@ fn expected_immediate_costs(
     any_infinite
 }
 
-/// The new value of transient row `i`: `r_i + Σ_j p_ij · values[j]`.
-///
-/// `CHECKED` is the variant for kernels with dangling transient rows: `∞`
+/// The row reduction a DP call runs, picked once per call by
+/// [`pick_reduction`]; [`row_value`] and the sweeps are monomorphized over
+/// it.
+type Reduction = u8;
+/// In order, short-circuiting on `∞`: [`row_sum_checked`].
+const CHECKED: Reduction = 0;
+/// Four scalar accumulators: [`row_sum_scalar`].
+const SCALAR: Reduction = 1;
+/// The same four accumulators as the lanes of one AVX2 register:
+/// [`row_sum_avx2`].
+#[cfg(target_arch = "x86_64")]
+const AVX2: Reduction = 2;
+
+/// The reduction of a DP call over `n` nodes: [`CHECKED`] when a transient
+/// row is dangling, otherwise [`AVX2`] when the CPU has it and the gather's
+/// signed 32-bit indices reach every node, otherwise [`SCALAR`].
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn pick_reduction(any_infinite: bool, n: usize) -> Reduction {
+    if any_infinite {
+        return CHECKED;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if n <= 1 << 31 && std::arch::is_x86_feature_detected!("avx2") {
+        return AVX2;
+    }
+    SCALAR
+}
+
+/// `Σ_j p_ij · values[j]` for kernels with dangling transient rows: `∞`
 /// from unreachable pockets must short-circuit instead of producing NaN via
-/// `0.0 · ∞`-adjacent arithmetic, and the row is reduced in order. Without
-/// dangling rows every value provably stays finite (each bounded by
-/// τ·max immediate), so the per-edge finiteness branch — and the empty-row
-/// probe — drop out entirely, and four accumulators break the
-/// floating-point add latency chain that otherwise serializes the reduction
-/// (then the remainder is added in order; the summation order differs from
-/// the checked variant by last-ulp rounding only). Both DP programs reduce
-/// rows through this one function, which is what makes the parity chain
-/// bit-identical to the full sweep.
+/// `0.0 · ∞`-adjacent arithmetic, so the row is reduced in order, and an
+/// empty (dangling) row is `∞` itself.
 #[inline(always)]
-fn row_value<const CHECKED: bool>(
-    kernel: &TransitionMatrix,
-    i: usize,
-    immediate: &[f64],
-    values: &[f64],
-) -> f64 {
-    let (cols, probs) = kernel.row(i);
-    if CHECKED {
-        if cols.is_empty() {
+fn row_sum_checked(cols: &[u32], probs: &[f64], values: &[f64]) -> f64 {
+    if cols.is_empty() {
+        return f64::INFINITY;
+    }
+    let mut acc = 0.0;
+    for (&j, &p) in cols.iter().zip(probs) {
+        let v = values[j as usize];
+        if !v.is_finite() {
             return f64::INFINITY;
         }
-        let mut acc = 0.0;
-        for (&j, &p) in cols.iter().zip(probs) {
-            let v = values[j as usize];
-            if v.is_finite() {
-                acc += p * v;
-            } else {
-                acc = f64::INFINITY;
-                break;
-            }
-        }
-        return immediate[i] + acc;
+        acc += p * v;
     }
+    acc
+}
+
+/// `Σ_j p_ij · values[j]` for kernels without dangling rows, where every
+/// value provably stays finite (each bounded by τ·max immediate), so the
+/// per-edge finiteness branch and the empty-row probe drop out. Four
+/// accumulators break the floating-point add latency chain that otherwise
+/// serializes the reduction: lane `k` takes entries `4c + k` in order, the
+/// lanes combine as `(a0 + a1) + (a2 + a3)`, then the remainder is added in
+/// order. The summation order differs from [`row_sum_checked`] by last-ulp
+/// rounding only.
+#[inline(always)]
+fn row_sum_scalar(cols: &[u32], probs: &[f64], values: &[f64]) -> f64 {
     let mut cols4 = cols.chunks_exact(4);
     let mut probs4 = probs.chunks_exact(4);
     let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
@@ -377,11 +416,93 @@ fn row_value<const CHECKED: bool>(
     for (&j, &p) in cols4.remainder().iter().zip(probs4.remainder()) {
         acc += p * values[j as usize];
     }
-    immediate[i] + acc
+    acc
+}
+
+/// [`row_sum_scalar`] with its four accumulators as the lanes of one AVX2
+/// register: lane `k` gathers `values[cols[4c + k]]` and adds its product
+/// in order, with a separate multiply and add (no FMA, which would round
+/// once instead of twice). The lanes then combine as `(a0 + a1) + (a2 +
+/// a3)` and the remainder is added in order, so every operation — and
+/// hence the result — is bit-for-bit the scalar one.
+///
+/// The gather reads through a raw pointer, so its indices are clamped to
+/// the last entry of `values`: no lane can read out of bounds whatever
+/// `cols` holds. Every `TransitionMatrix` column is `< n_nodes()`, and the
+/// DP's value vectors hold `n_nodes()` entries, so the clamp never changes
+/// an index. (The remainder indexes with bounds checks, as the scalar code
+/// does.) The gather's indices are signed 32-bit, so `values` must hold
+/// between 1 and 2^31 entries; [`pick_reduction`] sends larger kernels to
+/// the scalar code.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn row_sum_avx2(cols: &[u32], probs: &[f64], values: &[f64]) -> f64 {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd, _mm256_i32gather_pd,
+        _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd, _mm_cvtsd_f64, _mm_hadd_pd,
+        _mm_loadu_si128, _mm_min_epu32, _mm_set1_epi32, _mm_unpackhi_pd,
+    };
+    let last = i32::try_from(values.len().wrapping_sub(1))
+        .expect("the gather reads a non-empty vector of at most 2^31 entries");
+    let last = _mm_set1_epi32(last);
+    let mut cols4 = cols.chunks_exact(4);
+    let mut probs4 = probs.chunks_exact(4);
+    let mut lanes = _mm256_setzero_pd();
+    for (c, p) in (&mut cols4).zip(&mut probs4) {
+        // SAFETY: `chunks_exact(4)` yields exactly four `u32`s (16 bytes)
+        // and four `f64`s (32 bytes); both loads are unaligned.
+        let (idx, p) = unsafe {
+            (
+                _mm_loadu_si128(c.as_ptr().cast()),
+                _mm256_loadu_pd(p.as_ptr()),
+            )
+        };
+        let idx = _mm_min_epu32(idx, last);
+        // SAFETY: lane k reads `values[min(c[k], last)]` with `last =
+        // values.len() - 1`, which fits an `i32`: every lane's index is
+        // non-negative and inside `values`.
+        let v = unsafe { _mm256_i32gather_pd::<8>(values.as_ptr(), idx) };
+        lanes = _mm256_add_pd(lanes, _mm256_mul_pd(p, v));
+    }
+    // [a0 + a1, a2 + a3], then their sum: the scalar combine.
+    let pairs = _mm_hadd_pd(
+        _mm256_castpd256_pd128(lanes),
+        _mm256_extractf128_pd::<1>(lanes),
+    );
+    let mut acc = _mm_cvtsd_f64(pairs) + _mm_cvtsd_f64(_mm_unpackhi_pd(pairs, pairs));
+    for (&j, &p) in cols4.remainder().iter().zip(probs4.remainder()) {
+        acc += p * values[j as usize];
+    }
+    acc
+}
+
+/// The new value of transient row `i`: `r_i + Σ_j p_ij · values[j]`, with
+/// the sum reduced as `R` says. Both DP programs reduce rows through this
+/// one function, which is what makes the parity chain bit-identical to the
+/// full sweep.
+#[inline(always)]
+fn row_value<const R: Reduction>(
+    kernel: &TransitionMatrix,
+    i: usize,
+    immediate: &[f64],
+    values: &[f64],
+) -> f64 {
+    let (cols, probs) = kernel.row(i);
+    let sum = match R {
+        CHECKED => row_sum_checked(cols, probs, values),
+        // SAFETY: `row_value::<AVX2>` runs only inside `sweep_avx2` and
+        // `half_sweep_avx2`, which are entered only on CPUs with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        AVX2 => unsafe { row_sum_avx2(cols, probs, values) },
+        _ => row_sum_scalar(cols, probs, values),
+    };
+    immediate[i] + sum
 }
 
 /// One full DP iteration: every row of `next` from `current`.
-fn sweep<const CHECKED: bool>(
+#[inline(always)]
+fn sweep<const R: Reduction>(
     kernel: &TransitionMatrix,
     absorbing: &[bool],
     immediate: &[f64],
@@ -392,7 +513,7 @@ fn sweep<const CHECKED: bool>(
         *out = if absorbing[i] {
             0.0
         } else {
-            row_value::<CHECKED>(kernel, i, immediate, current)
+            row_value::<R>(kernel, i, immediate, current)
         };
     }
 }
@@ -401,7 +522,8 @@ fn sweep<const CHECKED: bool>(
 /// Their columns all lie on the other side, which this sweep does not
 /// write, so in-place updating reads exactly the previous iteration's
 /// values. With `save`, each row's old value is copied there first.
-fn half_sweep<const CHECKED: bool>(
+#[inline(always)]
+fn half_sweep<const R: Reduction>(
     kernel: &TransitionMatrix,
     rows: &[u32],
     absorbing: &[bool],
@@ -414,12 +536,40 @@ fn half_sweep<const CHECKED: bool>(
         if absorbing[i] {
             continue;
         }
-        let v = row_value::<CHECKED>(kernel, i, immediate, values);
+        let v = row_value::<R>(kernel, i, immediate, values);
         if let Some(previous) = save.as_deref_mut() {
             previous[i] = values[i];
         }
         values[i] = v;
     }
+}
+
+/// [`sweep`] compiled for AVX2, so [`row_sum_avx2`] inlines into its loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(
+    kernel: &TransitionMatrix,
+    absorbing: &[bool],
+    immediate: &[f64],
+    current: &[f64],
+    next: &mut [f64],
+) {
+    sweep::<AVX2>(kernel, absorbing, immediate, current, next);
+}
+
+/// [`half_sweep`] compiled for AVX2, so [`row_sum_avx2`] inlines into its
+/// loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn half_sweep_avx2(
+    kernel: &TransitionMatrix,
+    rows: &[u32],
+    absorbing: &[bool],
+    immediate: &[f64],
+    values: &mut [f64],
+    save: Option<&mut [f64]>,
+) {
+    half_sweep::<AVX2>(kernel, rows, absorbing, immediate, values, save);
 }
 
 /// Run the truncated absorbing-cost dynamic program (Eq. 9, Algorithm 1
@@ -455,16 +605,19 @@ pub fn truncated_costs_into<'a>(
         next,
     } = bufs;
     let any_infinite = expected_immediate_costs(kernel, absorbing, cost, immediate);
+    let reduction = pick_reduction(any_infinite, n);
 
     current.clear();
     current.resize(n, 0.0);
     next.clear();
     next.resize(n, 0.0);
     for _ in 0..iterations {
-        if any_infinite {
-            sweep::<true>(kernel, absorbing, immediate, current, next);
-        } else {
-            sweep::<false>(kernel, absorbing, immediate, current, next);
+        match reduction {
+            CHECKED => sweep::<CHECKED>(kernel, absorbing, immediate, current, next),
+            // SAFETY: `pick_reduction` returns `AVX2` only on CPUs with AVX2.
+            #[cfg(target_arch = "x86_64")]
+            AVX2 => unsafe { sweep_avx2(kernel, absorbing, immediate, current, next) },
+            _ => sweep::<SCALAR>(kernel, absorbing, immediate, current, next),
         }
         std::mem::swap(current, next);
     }
@@ -537,6 +690,7 @@ pub fn parity_chain_costs_into(
         next: previous,
     } = bufs;
     let any_infinite = expected_immediate_costs(kernel, absorbing, cost, immediate);
+    let reduction = pick_reduction(any_infinite, n);
 
     current.clear();
     current.resize(n, 0.0);
@@ -572,10 +726,17 @@ pub fn parity_chain_costs_into(
                     current[i as usize] = immediate[i as usize];
                 }
             }
-        } else if any_infinite {
-            half_sweep::<true>(kernel, rows, absorbing, immediate, current, save);
         } else {
-            half_sweep::<false>(kernel, rows, absorbing, immediate, current, save);
+            match reduction {
+                CHECKED => half_sweep::<CHECKED>(kernel, rows, absorbing, immediate, current, save),
+                // SAFETY: `pick_reduction` returns `AVX2` only on CPUs with
+                // AVX2.
+                #[cfg(target_arch = "x86_64")]
+                AVX2 => unsafe {
+                    half_sweep_avx2(kernel, rows, absorbing, immediate, current, save)
+                },
+                _ => half_sweep::<SCALAR>(kernel, rows, absorbing, immediate, current, save),
+            }
         }
         run.iterations = t;
         let Some(exit) = exit.as_mut().filter(|_| measure) else {
@@ -703,6 +864,76 @@ mod tests {
     /// The target-side entries of a value vector.
     fn target_values(sides: ParitySides<'_>, values: &[f64]) -> Vec<f64> {
         sides.target.iter().map(|&i| values[i as usize]).collect()
+    }
+
+    /// One step of splitmix64: a seeded stream for the reduction tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `[0, 1)`.
+    fn unit(state: &mut u64) -> f64 {
+        (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn row_sums_follow_the_documented_lane_order_on_every_remainder() {
+        // Random rows of every length 0..=67 (every remainder class mod 4,
+        // up to 16 full chunks) over values spanning ~36 decades, so the
+        // order of additions shows in the low bits. The scalar reduction
+        // must equal its documented order written out here, and the AVX2
+        // reduction (where the CPU has it) must equal the scalar one,
+        // compared with `to_bits`.
+        let mut state = 0x5EED_u64;
+        let values: Vec<f64> = (0..257)
+            .map(|_| (0.5 + unit(&mut state)) * 2f64.powi((splitmix(&mut state) % 121) as i32 - 60))
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        for len in 0..=67usize {
+            for _ in 0..16 {
+                let cols: Vec<u32> = (0..len)
+                    .map(|_| (splitmix(&mut state) % values.len() as u64) as u32)
+                    .collect();
+                let probs: Vec<f64> = (0..len).map(|_| unit(&mut state)).collect();
+                let full = len - len % 4;
+                let mut lanes = [0.0f64; 4];
+                for e in 0..full {
+                    lanes[e % 4] += probs[e] * values[cols[e] as usize];
+                }
+                let mut want = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+                for e in full..len {
+                    want += probs[e] * values[cols[e] as usize];
+                }
+                let scalar = row_sum_scalar(&cols, &probs, &values);
+                assert_eq!(scalar.to_bits(), want.to_bits(), "scalar, length {len}");
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // SAFETY: the CPU has AVX2.
+                    let gathered = unsafe { row_sum_avx2(&cols, &probs, &values) };
+                    assert_eq!(gathered.to_bits(), scalar.to_bits(), "avx2, length {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_gather_clamps_out_of_range_columns_to_the_last_value() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        // No kernel holds such a column; the clamp only keeps the gather
+        // inside `values` if one ever did.
+        let values = [1.0, 2.0, 4.0];
+        let probs = [1.0; 4];
+        // SAFETY: the CPU has AVX2.
+        let sum = unsafe { row_sum_avx2(&[0, 1, 2, u32::MAX], &probs, &values) };
+        assert_eq!(sum, (1.0 + 2.0) + (4.0 + 4.0));
     }
 
     #[test]

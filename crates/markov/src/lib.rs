@@ -14,7 +14,8 @@
 //!   the half of a bipartite walk that reaches the target side at τ
 //!   (bit-identical there, half the edge work) and can stop early, by
 //!   two-step increment bounds, once the remaining iterations provably
-//!   cannot matter;
+//!   cannot matter; on x86-64 CPUs with AVX2 both reduce rows with a
+//!   gather that is bit-identical to the scalar code;
 //! * [`cost`] — per-node entry-cost models (unit cost ⇒ absorbing time,
 //!   entropy cost ⇒ the AC1/AC2 models);
 //! * [`pagerank`] — personalized PageRank power iteration (PPR/DPPR
@@ -24,6 +25,9 @@
 //! slices; no per-edge division survives on any query path.
 
 #![warn(missing_docs)]
+// The workspace's only `unsafe` is the AVX2 row reduction in `dp`: every
+// unsafe operation sits in its own block with a `// SAFETY:` argument.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod absorbing;
 pub mod cost;

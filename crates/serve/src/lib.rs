@@ -72,6 +72,7 @@
 //! backpressure or deadlines fail typed, and fallback answers are flagged
 //! degraded — nothing degrades silently.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod breaker;

@@ -11,10 +11,13 @@
 //!   query threads all running, every request completes, every response
 //!   names its epoch, and every claimed `(epoch, base_version)` pair is
 //!   one the store actually published.
+//! * **rerank over the overlay** — an item that exists only in the delta
+//!   reranks as unrated in training (percentile 0, tail) instead of
+//!   panicking the worker that serves it.
 
 use longtail_core::{
-    DpStopping, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender,
-    ScoringContext,
+    DpStopping, GraphRecConfig, HittingTimeRecommender, RecommendOptions, Recommender, RerankIndex,
+    RerankPolicy, ScoringContext,
 };
 use longtail_data::{Dataset, Rating};
 use longtail_serve::{
@@ -133,6 +136,60 @@ fn appends_change_rankings_at_published_epochs() {
         &mut want,
     );
     assert_eq!(after.items, want, "overlay ≡ rebuild on the union");
+}
+
+#[test]
+fn rerank_serves_items_that_exist_only_in_the_delta() {
+    let base = corpus();
+    let store = Arc::new(DeltaStore::new(
+        base.clone(),
+        DeltaConfig {
+            publish_every: 2,
+            ..DeltaConfig::default()
+        },
+    ));
+    let engine = Engine::builder()
+        .model("HT", ht(&base))
+        .ingest("HT", store.clone())
+        .rerank_index("HT", Arc::new(RerankIndex::from_dataset(&base)))
+        .workers(1)
+        .build();
+
+    // Item 12 is past the base catalog: only the delta knows it. User 2
+    // shares items with user 0, so the item reaches user 0's walk.
+    let new_item = N_ITEMS as u32;
+    for (user, timestamp) in [(2, 1.0), (1, 2.0)] {
+        store.append(DeltaRating {
+            user,
+            item: new_item,
+            value: 5.0,
+            timestamp,
+        });
+    }
+    assert_eq!(store.epoch(), 1);
+
+    // Every unrated item fits in k, so both lists hold the new one.
+    let k = N_ITEMS;
+    let plain = RecommendRequest::new("HT", 0, k).with_stopping(DpStopping::Fixed);
+    let raw = engine.recommend(&plain).unwrap();
+    assert!(raw.provenance.is_none());
+    assert!(items_of(&raw).contains(&new_item), "{:?}", raw.items);
+
+    let policy = RerankPolicy::new()
+        .mmr(0.3)
+        .popularity_penalty(0.25)
+        .tail_quota(3);
+    let reranked = engine
+        .recommend(&plain.clone().with_rerank(policy))
+        .unwrap();
+    assert_eq!(reranked.epoch, Some(1));
+    let pos = items_of(&reranked).iter().position(|&i| i == new_item);
+    let pos = pos.expect("the delta-only item is served");
+    let provenance = reranked
+        .provenance
+        .expect("an enabled policy leaves provenance");
+    assert_eq!(provenance[pos].popularity_percentile, 0.0);
+    assert!(provenance[pos].tail);
 }
 
 #[test]

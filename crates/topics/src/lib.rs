@@ -6,6 +6,7 @@
 //! (Eq. 10–11) that drive the Absorbing Cost recommenders, and the topic
 //! inspection utilities behind Table 1.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod entropy;

@@ -55,6 +55,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use longtail_core as core;
 pub use longtail_data as data;
 pub use longtail_eval as eval;
